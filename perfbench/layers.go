@@ -92,12 +92,16 @@ func runTraced(o options, cfg config, runDir string, out io.Writer) (result, err
 	if err != nil {
 		return result{}, err
 	}
-	for _, step := range []func() error{
+	steps := []func() error{
 		func() error { return l.restartLayers(crashDir) },
 		func() error { return l.replayLayers(e, cfg) },
 		l.growthProbe,
 		l.ringLayer,
-	} {
+	}
+	if cfg.roundsInline {
+		steps = append(steps, func() error { return l.concurrentOverlaps(cfg, episodeSeed(o.seed, 0)) })
+	}
+	for _, step := range steps {
 		if err := step(); err != nil {
 			return result{}, err
 		}
@@ -154,7 +158,11 @@ func (l *layerRun) clusterMetrics(e *episode) {
 	l.set("antientropy.round.skip_ratio", float64(skipped)/float64(max(exch, 1)), "ratio")
 	l.set("antientropy.round.moved", float64(moved)/float64(max(len(e.rounds), 1)), "keys/round")
 	l.set("antientropy.round.merges", float64(e.r.res.merges.Load()), "count")
-	l.set("kvstore.merges_overlapping_ids", float64(e.r.res.overlapping.Load()), "count")
+	if !e.cfg.roundsInline {
+		// Rounds ran beside the client; concurrentOverlaps covers the
+		// workloads whose rounds run inline.
+		l.set("kvstore.merges_overlapping_ids", float64(e.r.res.overlapping.Load()), "count")
+	}
 	l.set("antientropy.round.hints_drained", float64(drained), "count")
 	l.set("antientropy.round.tombstones_live", float64(tombs), "count")
 	l.set("antientropy.round.errors", float64(roundErrs), "count")
@@ -192,6 +200,23 @@ func (l *layerRun) clusterMetrics(e *episode) {
 	l.set("go.alloc_bytes_per_op", float64(e.goD.allocBytes)/ops, "B/op")
 	l.set("go.gc_cpu_frac", e.goD.gcCPU/max(e.goD.allCPU, 1e-9), "ratio")
 	l.set("go.gc_pause_p99_us", e.goD.pauseQuantileUS(0.99), "us")
+}
+
+// concurrentOverlaps runs the traced episode's client phase again (same
+// seed) on a fresh ring, with its rounds on the gossip goroutine beside
+// the client instead of inline, and reports the merges whose two stamps
+// had overlapping ids: causality the stamps lost to rounds racing quorum
+// writes. That ring is not checked against the model and no other metric
+// comes from it; it measures the race, which the checked episodes of an
+// inline workload avoid.
+func (l *layerRun) concurrentOverlaps(cfg config, seed int64) error {
+	cfg.roundsInline = false
+	e, err := runClient(cfg, filepath.Join(l.dir, "concurrent"), seed, newTracer(false))
+	if err != nil {
+		return err
+	}
+	l.set("kvstore.merges_overlapping_ids", float64(e.r.res.overlapping.Load()), "count")
+	return e.r.close()
 }
 
 // stampPair is two owners' copies of one key.

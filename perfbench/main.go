@@ -175,11 +175,14 @@ func runMeasured(o options, cfg config, runDir string, out io.Writer) (result, e
 // gated metrics (every workload has them) go in the result; metrics that
 // only some workloads have are returned separately, for the report lines.
 //
-// Client throughput is the median over client phases, so one disturbed
-// phase cannot move a run's figure much. Latency percentiles and round
-// times are pooled over the run; byte and CPU figures are totals.
+// Client throughput is the median over client phases, and each latency
+// and round-time percentile is the median over episodes of the episode's
+// percentile, so one disturbed phase or episode cannot move a run's figure
+// much. Byte and CPU figures are totals.
 func endToEnd(eps []*episode, setups []float64) (result, map[string]metric) {
-	var rates, writes, reads, lags, rounds, revive, catchup, heaps []float64
+	var rates, lags, revive, catchup, heaps []float64
+	var nWrites, nReads, nRounds int
+	var writeP50, writeP99, readP50, readP99, roundP50, roundP90 []float64
 	var ops, acked, attempted, failed int
 	var cpu time.Duration
 	var wire int64
@@ -188,6 +191,7 @@ func endToEnd(eps []*episode, setups []float64) (result, map[string]metric) {
 		for i, d := range e.phases {
 			rates = append(rates, float64(e.phaseOps[i])/d.Seconds())
 		}
+		var writes, reads, rounds []float64
 		for _, r := range e.ops {
 			lat := us(time.Duration(r.stop - r.due))
 			if r.kind == opRead {
@@ -201,6 +205,15 @@ func endToEnd(eps []*episode, setups []float64) (result, map[string]metric) {
 			rounds = append(rounds, ms(time.Duration(rr.stop-rr.start)))
 			wire += rr.bytes
 		}
+		writeP50 = append(writeP50, quantile(writes, 0.5))
+		writeP99 = append(writeP99, quantile(writes, 0.99))
+		readP50 = append(readP50, quantile(reads, 0.5))
+		readP99 = append(readP99, quantile(reads, 0.99))
+		roundP50 = append(roundP50, quantile(rounds, 0.5))
+		roundP90 = append(roundP90, quantile(rounds, 0.9))
+		nWrites += len(writes)
+		nReads += len(reads)
+		nRounds += len(rounds)
 		for _, d := range e.revive {
 			revive = append(revive, ms(d))
 		}
@@ -218,21 +231,21 @@ func endToEnd(eps []*episode, setups []float64) (result, map[string]metric) {
 	m := map[string]metric{
 		"setup_s":              {median(setups), "s"},
 		"ops_per_s":            {median(rates), "1/s"},
-		"write_p50_us":         {quantile(writes, 0.5), "us"},
-		"write_p99_us":         {quantile(writes, 0.99), "us"},
-		"read_p50_us":          {quantile(reads, 0.5), "us"},
-		"read_p99_us":          {quantile(reads, 0.99), "us"},
-		"round_p50_ms":         {quantile(rounds, 0.5), "ms"},
-		"round_p90_ms":         {quantile(rounds, 0.9), "ms"},
+		"write_p50_us":         {median(writeP50), "us"},
+		"write_p99_us":         {median(writeP99), "us"},
+		"read_p50_us":          {median(readP50), "us"},
+		"read_p99_us":          {median(readP99), "us"},
+		"round_p50_ms":         {median(roundP50), "ms"},
+		"round_p90_ms":         {median(roundP90), "ms"},
 		"wire_bytes_per_write": {float64(wire) / float64(max(acked, 1)), "B/write"},
 		"cpu_ms_per_kop":       {ms(cpu) / (float64(ops) / 1000), "ms/kop"},
 		"heap_live_mb":         {median(heaps), "MiB"},
 	}
 	extra := map[string]metric{
 		"fail_frac":      {float64(failed) / float64(max(attempted, 1)), "1"},
-		"samples.writes": {float64(len(writes)), "count"},
-		"samples.reads":  {float64(len(reads)), "count"},
-		"samples.rounds": {float64(len(rounds)), "count"},
+		"samples.writes": {float64(nWrites), "count"},
+		"samples.reads":  {float64(nReads), "count"},
+		"samples.rounds": {float64(nRounds), "count"},
 	}
 	if openLoop {
 		extra["sched_lag_p99_us"] = metric{quantile(lags, 0.99), "us"}
