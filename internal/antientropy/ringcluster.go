@@ -720,12 +720,13 @@ func (c *Cluster) ownersLocked(stripe int) []string {
 }
 
 // Write performs a quorum write: the first up owner of the key's stripe
-// coordinates, applying locally and pushing the key (SyncKey) to each
-// other live owner; owners that are down or judged dead get a durable hint
-// instead (a hint is a promise, not an ack). It returns the ack count,
-// with ErrQuorum when that is below the write quorum — the write is still
-// applied wherever it reached, and anti-entropy plus hint drains finish
-// the job, but the caller knows durability is degraded.
+// coordinates, applying the write locally and pushing it to each other
+// live owner in one pass (kvstore.QuorumWrite); owners that are down or
+// judged dead get a durable hint instead (a hint is a promise, not an
+// ack). It returns the ack count, with ErrQuorum when that is below the
+// write quorum — the write is still applied wherever it reached, and
+// anti-entropy plus hint drains finish the job, but the caller knows
+// durability is degraded.
 func (c *Cluster) Write(key string, value []byte) (int, error) {
 	return c.write(key, value, false)
 }
@@ -758,12 +759,8 @@ func (c *Cluster) write(key string, value []byte, del bool) (int, error) {
 	if coord == nil {
 		return 0, fmt.Errorf("%w: no owner of stripe %d is up", ErrQuorum, stripe)
 	}
-	if del {
-		coord.replica.Delete(key)
-	} else {
-		coord.replica.Put(key, value)
-	}
-	acks := 1
+	live := make([]*kvstore.Replica, 0, len(owners))
+	var hinted []string
 	for _, oid := range owners {
 		if oid == coord.id {
 			continue
@@ -782,19 +779,21 @@ func (c *Cluster) write(key string, value []byte, del bool) (int, error) {
 		// fails the write.
 		if target.down || c.group[j] != coordGroup || coord.view.State(oid) == membership.Dead ||
 			target.replica.StripeQuarantined(stripe) {
-			cp, ok := coord.replica.ForkCopy(key)
-			if !ok {
-				continue
-			}
-			if err := coord.hints.Add(hints.Hint{
-				Target: oid, Key: key, Value: cp.Value, Deleted: cp.Deleted, Stamp: cp.Stamp,
-			}); err != nil {
-				return acks, err
-			}
+			hinted = append(hinted, oid)
 			continue
 		}
-		if _, err := kvstore.SyncKey(coord.replica, target.replica, key, c.resolve); err == nil {
-			acks++
+		live = append(live, target.replica)
+	}
+	out, err := kvstore.QuorumWrite(coord.replica, key, value, del, live, len(hinted), c.resolve)
+	if err != nil {
+		return 0, err
+	}
+	acks := out.Acks()
+	for h, cp := range out.Hints {
+		if err := coord.hints.Add(hints.Hint{
+			Target: hinted[h], Key: key, Value: cp.Value, Deleted: cp.Deleted, Stamp: cp.Stamp,
+		}); err != nil {
+			return acks, err
 		}
 	}
 	if acks < c.writeQuorum {

@@ -143,19 +143,21 @@ func (s Stamp) Fork() (Stamp, Stamp) {
 }
 
 // ForkN forks s into n >= 1 stamps by repeated binary forking, breadth
-// first, so the resulting ids are as shallow as possible.
+// first, so the resulting ids are as shallow as possible: the shallowest
+// stamps come first.
 func (s Stamp) ForkN(n int) []Stamp {
 	if n <= 1 {
 		return []Stamp{s}
 	}
-	out := []Stamp{s}
-	for len(out) < n {
-		next := out[0]
-		out = out[1:]
-		a, b := next.Fork()
-		out = append(out, a, b)
+	// The breadth-first fork tree with n leaves is the complete binary tree
+	// of 2n-1 nodes in heap order (node j's children are 2j+1 and 2j+2);
+	// its leaves are the last n nodes, shallowest first.
+	tree := make([]Stamp, 2*n-1)
+	tree[0] = s
+	for j := 0; j < n-1; j++ {
+		tree[2*j+1], tree[2*j+2] = tree[j].Fork()
 	}
-	return out
+	return tree[n-1:]
 }
 
 // Join merges two elements of a frontier into one:

@@ -111,6 +111,29 @@ func TestForkN(t *testing.T) {
 	}
 }
 
+// TestForkNBreadthFirst pins ForkN's order against repeated forking of the
+// front of a queue: breadth first, shallowest ids first — a quorum write's
+// coordinator keeps stamps[0], so its id grows by the tree's least depth.
+func TestForkNBreadthFirst(t *testing.T) {
+	_, base := Seed().Update().Fork()
+	for n := 1; n <= 40; n++ {
+		queue := []Stamp{base}
+		for len(queue) < n {
+			a, b := queue[0].Fork()
+			queue = append(queue[1:], a, b)
+		}
+		got := base.ForkN(n)
+		for k := range queue {
+			if !got[k].Equal(queue[k]) {
+				t.Fatalf("ForkN(%d)[%d] = %v, want %v", n, k, got[k], queue[k])
+			}
+		}
+		if d0, dn := got[0].IDName().MaxDepth(), got[n-1].IDName().MaxDepth(); d0 > dn {
+			t.Fatalf("ForkN(%d): first id depth %d exceeds last %d", n, d0, dn)
+		}
+	}
+}
+
 func TestJoinRejectsOverlappingIDs(t *testing.T) {
 	s := Seed()
 	if _, err := Join(s, s); err == nil {

@@ -1,12 +1,12 @@
 // Package hints is the durable hinted-handoff queue of the partitioned
 // cluster: when a quorum write cannot reach one of a stripe's owners, the
-// coordinator forks the key's stamp (kvstore.ForkCopy) and queues the
-// detached copy here, addressed to the unreachable owner. When the owner's
-// heartbeats resume, the queue drains: each copy is delivered by
-// MergeVersioned, which joins the hint's stamp into the owner's — so the
-// handoff is exactly a deferred synchronization in the paper's fork-join
-// model, and the stamps prove on delivery whether the hinted write is still
-// news, already obsolete, or in conflict.
+// coordinator forks the key's stamp (kvstore.QuorumWrite's hint copies, or
+// kvstore.ForkCopy) and queues the detached copy here, addressed to the
+// unreachable owner. When the owner's heartbeats resume, the queue drains:
+// each copy is delivered by MergeVersioned, which joins the hint's stamp
+// into the owner's — so the handoff is exactly a deferred synchronization
+// in the paper's fork-join model, and the stamps prove on delivery whether
+// the hinted write is still news, already obsolete, or in conflict.
 //
 // Queues persist through the same storage.Backend abstraction as the store
 // itself (a WAL on disk, memory under test): every Add appends a record,
@@ -32,7 +32,8 @@ type Hint struct {
 	Target string
 	// Key is the store key.
 	Key string
-	// Value, Deleted and Stamp are the detached copy (a ForkCopy result).
+	// Value, Deleted and Stamp are the detached copy (a QuorumWrite hint
+	// copy or a ForkCopy result).
 	Value   []byte
 	Deleted bool
 	Stamp   core.Stamp

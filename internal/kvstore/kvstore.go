@@ -160,6 +160,12 @@ type Replica struct {
 	label  string
 	shards []shard
 
+	// order is the replica's place in the global lock order, drawn from
+	// replicaOrder when the replica is built. Paths that lock stripes of
+	// several replicas take them in ascending order, so they cannot
+	// deadlock against each other.
+	order uint64
+
 	// backend, when non-nil, receives every mutation as an appended record
 	// before the stripe lock releases (see Open/OpenBackend in durable.go).
 	// Replicas built with NewReplica keep it nil: the historical all-in-
@@ -198,6 +204,11 @@ type Replica struct {
 	pending []func() error
 }
 
+// replicaOrder hands out Replica.order numbers. Every constructor (Open,
+// Restore and Clone included) goes through NewReplicaShards, which draws
+// one.
+var replicaOrder atomic.Uint64
+
 // NewReplica creates an empty replica with a cosmetic label and
 // DefaultShards stripes.
 func NewReplica(label string) *Replica {
@@ -211,7 +222,7 @@ func NewReplicaShards(label string, n int) *Replica {
 	if n < 1 {
 		n = 1
 	}
-	r := &Replica{label: label, shards: make([]shard, n)}
+	r := &Replica{label: label, shards: make([]shard, n), order: replicaOrder.Add(1)}
 	for i := range r.shards {
 		r.shards[i].data = make(map[string]Versioned)
 		r.shards[i].tombs = make(map[string]uint64)
@@ -316,7 +327,7 @@ func (r *Replica) logKey(key string) {
 // counters show any movement changed on both sides (transfers fork the
 // source stamp too). Stripe locks are held by the calling sync path.
 func logSyncMutation(a, b *Replica, key string, part SyncResult) {
-	if part.Transferred+part.Reconciled+part.Merged == 0 {
+	if !part.moved() {
 		return
 	}
 	a.shardFor(key).noteTombLocked(key)
@@ -710,6 +721,10 @@ type SyncResult struct {
 	Conflicts []string
 }
 
+// moved reports that a single-key result changed both copies: transfers
+// fork the source stamp, reconciles fork the winner's, merges rewrite both.
+func (r SyncResult) moved() bool { return r.Transferred+r.Reconciled+r.Merged > 0 }
+
 // add accumulates another partial result.
 func (r *SyncResult) add(o SyncResult) {
 	r.Transferred += o.Transferred
@@ -729,9 +744,9 @@ func (r *SyncResult) add(o SyncResult) {
 func (r *SyncResult) Add(o SyncResult) { r.add(o) }
 
 // replicaBefore orders two distinct replicas for deadlock-free lock
-// acquisition, as the seed did for its single pair of locks.
+// acquisition: by the order number each was given when it was built.
 func replicaBefore(a, b *Replica) bool {
-	return fmt.Sprintf("%p", a) < fmt.Sprintf("%p", b)
+	return a.order < b.order
 }
 
 // Sync performs pairwise anti-entropy between two replicas: every key known
@@ -744,9 +759,9 @@ func replicaBefore(a, b *Replica) bool {
 // the keyspace is never serialized under a single lock, and only the two
 // stripes under reconciliation are blocked at any moment. Replicas with
 // different stripe counts fall back to a whole-keyspace pass under all
-// locks. Either way locks are taken in a global order (replica address,
-// then stripe index), so concurrent syncs of overlapping pairs cannot
-// deadlock.
+// locks. Either way locks are taken in a global order (replica order
+// number, then stripe index), so concurrent syncs of overlapping pairs
+// cannot deadlock.
 func Sync(a, b *Replica, resolve Resolver) (SyncResult, error) {
 	if a == b {
 		return SyncResult{}, fmt.Errorf("kvstore: sync of a replica with itself")
@@ -945,6 +960,15 @@ func syncStripePair(a, b *Replica, i int, resolve Resolver) (SyncResult, error) 
 // key into their hot maps (faulting cold values in) and the raw-map syncKey
 // runs as it always has.
 func syncKeyPromoted(a, b *Replica, key string, resolve Resolver) (SyncResult, error) {
+	res, err := syncKeyLocked(a, b, key, resolve)
+	logSyncMutation(a, b, key, res)
+	return res, err
+}
+
+// syncKeyLocked is syncKeyPromoted without the durable log: the in-memory
+// reconcile alone, for callers that log the key's final state once after
+// several reconciles (QuorumWrite).
+func syncKeyLocked(a, b *Replica, key string, resolve Resolver) (SyncResult, error) {
 	sia, sib := ShardIndex(key, len(a.shards)), ShardIndex(key, len(b.shards))
 	sa, sb := &a.shards[sia], &b.shards[sib]
 	va, okA := sa.metaLocked(key)
@@ -972,9 +996,7 @@ func syncKeyPromoted(a, b *Replica, key string, resolve Resolver) (SyncResult, e
 	if err := b.promoteLocked(sib, key); err != nil {
 		return SyncResult{}, err
 	}
-	res, err := syncKey(key, sa.data, sb.data, resolve)
-	logSyncMutation(a, b, key, res)
-	return res, err
+	return syncKey(key, sa.data, sb.data, resolve)
 }
 
 // syncKey converges one key across two raw shard maps (locks held). The

@@ -128,6 +128,20 @@
 //     anti-entropy protocols perform — a restarted replica resumes with
 //     the precise stamps it had, so the next sync round moves only what
 //     the stamps cannot prove equivalent, never the whole keyspace.
+//   - A quorum write appends exactly one record per replica whose copy
+//     changed, the coordinator's first, all before any stripe lock is
+//     released. In the normal case the coordinator's record carries the
+//     part of its id it keeps, and every other record carries a piece of
+//     the part it gave away, so a crash after any prefix of the appends
+//     leaves ids disjoint: an owner whose record was lost still holds its
+//     old copy, whose id never overlapped the coordinator's. Writing an
+//     owner's record before the coordinator's would let a crash leave the
+//     coordinator's whole old id next to a piece of it — overlapping ids,
+//     which force a reseed that discards causality. Writes outside the
+//     normal case (a merge, a stale coordinator) can hand the coordinator
+//     a piece of an owner's id or join ids across copies, so a crash
+//     between their records can still leave overlapping ids — the same
+//     window as between the two records of a pairwise sync.
 //   - A crash mid-append leaves a torn record at some log tail. Torn tails
 //     are detected by length and checksum and truncated on open; the torn
 //     record was never acknowledged, so nothing promised is lost. Damage
@@ -203,6 +217,19 @@
 //     stamps arbitrate — divergent copies trigger read-repair, where the
 //     stamps prove exactly which copies are obsolete. Hints are promises,
 //     not acks, so a sloppy write reports its true durability.
+//   - A write is one pass (kvstore.QuorumWrite). The key's stripe lock is
+//     taken once at the coordinator and at each live owner, in the global
+//     replica order (a number every replica draws when it is built), and
+//     held until the write is applied and logged everywhere. When every
+//     live owner's copy is absent or dominated — the normal case — the
+//     coordinator's updated stamp forks once, breadth first, into
+//     1 + live + hinted parts: at R=3 the coordinator keeps the depth-1
+//     half of its id and the two other copies take the depth-2 quarters,
+//     so the coordinator's id grows one bit per write. Owners that get a
+//     hint instead take their part as a detached copy queued at the
+//     coordinator. Any other case (a stale coordinator after a revive,
+//     concurrent copies, overlapping ids) reconciles owner by owner with
+//     the rules of a pairwise key sync, under the same locks.
 //   - Exchanges touching the same stripe are serialized. Two concurrent
 //     reconciliations consuming the same copy of a key would fork the same
 //     id space twice, and the paper's model has no sound way to keep both
