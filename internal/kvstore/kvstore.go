@@ -78,6 +78,14 @@ type Resolver func(key string, a, b Versioned) (value []byte, deleted bool, err 
 // KeepBoth is a Resolver that concatenates both values with a separator —
 // a simple deterministic merge for demonstration and tests. Deletion loses
 // against a concurrent write.
+//
+// A part of b (b's value split at the separator) that a already holds is
+// not appended again, so equal values merge to themselves and values that
+// hold the same parts in another order merge to a. Gossip runs exchanges on
+// disjoint pairs concurrently, so two pairs can merge the same conflict
+// independently; their results are new, mutually concurrent updates that
+// meet again later, and that later merge must not concatenate the conflict
+// a second time.
 func KeepBoth(sep []byte) Resolver {
 	return func(_ string, a, b Versioned) ([]byte, bool, error) {
 		switch {
@@ -88,13 +96,37 @@ func KeepBoth(sep []byte) Resolver {
 		case b.Deleted:
 			return a.Value, false, nil
 		default:
-			merged := make([]byte, 0, len(a.Value)+len(sep)+len(b.Value))
-			merged = append(merged, a.Value...)
-			merged = append(merged, sep...)
-			merged = append(merged, b.Value...)
-			return merged, false, nil
+			return unionParts(a.Value, b.Value, sep), false, nil
 		}
 	}
+}
+
+// unionParts appends to a, each behind sep, the parts of b that a does not
+// already hold. An empty sep has no parts to compare: a and b concatenate
+// unless they are equal.
+func unionParts(a, b, sep []byte) []byte {
+	if len(sep) == 0 {
+		if bytes.Equal(a, b) {
+			return a
+		}
+		return append(append([]byte(nil), a...), b...)
+	}
+	held := bytes.Split(a, sep)
+	merged := append([]byte(nil), a...)
+	for _, p := range bytes.Split(b, sep) {
+		dup := false
+		for _, h := range held {
+			if bytes.Equal(h, p) {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			merged = append(append(merged, sep...), p...)
+			held = append(held, p)
+		}
+	}
+	return merged
 }
 
 // shard is one stripe of a replica: an independently locked partition of

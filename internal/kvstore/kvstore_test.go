@@ -50,6 +50,34 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
+func TestKeepBothMergesEachPartOnce(t *testing.T) {
+	resolve := KeepBoth([]byte("|"))
+	merge := func(a, b string) string {
+		t.Helper()
+		v, del, err := resolve("k", Versioned{Value: []byte(a)}, Versioned{Value: []byte(b)})
+		if err != nil || del {
+			t.Fatalf("resolve(%q, %q) = %q, deleted=%v, err=%v", a, b, v, del, err)
+		}
+		return string(v)
+	}
+	for _, tc := range []struct{ a, b, want string }{
+		{"right", "left", "right|left"},
+		{"left", "right", "left|right"},
+		{"left|right", "left|right", "left|right"},
+		{"left|right", "right|left", "left|right"},
+		{"left|right", "right|up", "left|right|up"},
+		{"", "x", "|x"},
+	} {
+		if got := merge(tc.a, tc.b); got != tc.want {
+			t.Errorf("merge(%q, %q) = %q, want %q", tc.a, tc.b, got, tc.want)
+		}
+	}
+	v, del, _ := resolve("k", Versioned{Deleted: true}, Versioned{Value: []byte("x")})
+	if del || string(v) != "x" {
+		t.Errorf("delete vs write = %q, deleted=%v; want x", v, del)
+	}
+}
+
 func TestGetBuffersStable(t *testing.T) {
 	// Get hands out the stored buffer itself (zero-copy; callers must treat
 	// it as immutable). The contract that makes this safe: every mutation
